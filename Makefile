@@ -2,6 +2,15 @@
 
 GO ?= go
 
+# The record `make bench` writes and the baseline `make bench-compare`
+# gates it against, e.g. `make bench BENCH_OUT=BENCH_next.json`.
+BENCH_OUT ?= BENCH_PR10.json
+BENCH_BASE ?= BENCH_PR9.json
+
+# tdperf (the repo benchmark) is a module of its own; its tests run with
+# the module settings tdperf/run.sh builds it with.
+TDPERF_ENV = GOFLAGS=-mod=mod GOPROXY=off GOWORK=off
+
 .PHONY: all build test test-short race check cover bench bench-compare bench-all recovery-bench obs-demo top-demo profile suite suite-quick examples demo fmt vet clean
 
 all: build test
@@ -25,8 +34,11 @@ race:
 # tests get an explicit race-instrumented pass with a longer count: they
 # exercise the commit pipeline's cross-goroutine handoffs (flusher,
 # waiters, lock-free validation) far harder than the rest of the suite.
+# The benchmark's generator and gate tests run too, so a change that breaks
+# tdperf fails here rather than in the benchmark run.
 check: vet
 	$(GO) test ./...
+	cd tdperf && $(TDPERF_ENV) $(GO) test ./...
 	$(GO) test -race ./internal/server ./internal/db ./internal/term ./internal/obs ./internal/history
 	$(GO) test -race -count=2 -run 'TestGroupCommit|TestConcurrentTransfers|TestShardedSerializabilityHammer|TestMemoTableHammer' ./internal/server ./internal/engine
 	$(GO) test -race -count=2 -run 'TestCheckpoint|TestWALv1|TestASOF|TestPersistentLSNs|TestCommitsFlowDuringCheckpoint' ./internal/db ./internal/server
@@ -35,7 +47,7 @@ cover:
 	$(GO) test -short -cover ./...
 
 # Fixed-iteration run of the hot-path benchmarks, recorded as
-# BENCH_PR10.json in three sections: "disabled" (observability instrumented
+# $(BENCH_OUT) in three sections: "disabled" (observability instrumented
 # but no tracing) — which includes the sharded-store workloads, disjoint
 # (every client in a private commit lane) and contended (shared accounts,
 # mostly cross-lane), the planned-vs-textual prover pair added with PR 9,
@@ -55,12 +67,12 @@ cover:
 # producer).
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkProverTransfer$$|BenchmarkProverPlanned$$|BenchmarkProverTabled$$|BenchmarkProverTabledChain$$|BenchmarkDBInsertDelete$$|BenchmarkSimLab$$|BenchmarkServerThroughput$$|BenchmarkServerThroughputDisjoint$$|BenchmarkServerThroughputContended$$' \
-		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label disabled -merge BENCH_PR10.json -o BENCH_PR10.json
+		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label disabled -merge $(BENCH_OUT) -o $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkServerThroughputDurable$$|BenchmarkServerThroughputDurableSampled$$|BenchmarkServerThroughputDisjointDurable$$|BenchmarkServerThroughputContendedDurable$$' \
-		-benchtime=4s -count=5 -benchmem . | $(GO) run ./cmd/benchjson -label durable -merge BENCH_PR10.json -o BENCH_PR10.json
+		-benchtime=4s -count=5 -benchmem . | $(GO) run ./cmd/benchjson -label durable -merge $(BENCH_OUT) -o $(BENCH_OUT)
 	$(GO) test -run '^$$' -bench 'BenchmarkProverTransferTraced$$|BenchmarkServerThroughputTraced$$' \
-		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label enabled -merge BENCH_PR10.json -o BENCH_PR10.json
-	@cat BENCH_PR10.json
+		-benchtime=10000x -count=10 -benchmem . | $(GO) run ./cmd/benchjson -label enabled -merge $(BENCH_OUT) -o $(BENCH_OUT)
+	@cat $(BENCH_OUT)
 
 # Bounded-recovery numbers, recorded as BENCH_PR6.json: cold-start time
 # over growing WAL histories, with and without an incremental checkpoint
@@ -72,18 +84,17 @@ recovery-bench:
 		| $(GO) run ./cmd/benchjson -label recovery > BENCH_PR6.json
 	@cat BENCH_PR6.json
 
-# Gate this PR's committed numbers against the previous PR's: a section's
-# geometric-mean ns/op ratio more than 10% slower fails the target, while
-# single-benchmark regressions are printed but informational — identical
-# code re-recorded minutes apart swings 10%+ on individual contended
-# benchmarks on this VM, so only a systematic whole-section slowdown is
-# actionable. The baseline is BENCH_PR9.json; comparing adjacent PRs
-# recorded close in time keeps host drift (fsync latency, allocator/GC
-# throughput vary across recording days) out of the code delta. The tabled
-# benchmarks are new with PR 10, so the section geomean compares the
-# benchmarks both records share.
+# Gate the recorded numbers ($(BENCH_OUT)) against a baseline record
+# ($(BENCH_BASE)): a section's geometric-mean ns/op ratio more than 10%
+# slower fails the target, while single-benchmark regressions are printed
+# but informational — identical code re-recorded minutes apart swings 10%+
+# on individual contended benchmarks on this VM, so only a systematic
+# whole-section slowdown is actionable. Comparing adjacent records made
+# close in time keeps host drift (fsync latency, allocator/GC throughput
+# vary across recording days) out of the code delta. The section geomean
+# compares the benchmarks both records share.
 bench-compare:
-	$(GO) run ./cmd/benchjson -compare BENCH_PR9.json BENCH_PR10.json
+	$(GO) run ./cmd/benchjson -compare $(BENCH_BASE) $(BENCH_OUT)
 
 # Span-tree smoke test: prove the concurrent two-workflow goal with tracing
 # on and check that the rendered tree shows the expected structure — iso

@@ -186,15 +186,54 @@ func (i *Iso) String() string { return "iso(" + i.Body.String() + ")" }
 func NewSeq(goals ...Goal) Goal {
 	flat := make([]Goal, 0, len(goals))
 	for _, g := range goals {
-		switch g := g.(type) {
-		case True:
-			// unit of ⊗
-		case *Seq:
-			flat = append(flat, g.Goals...)
-		default:
-			flat = append(flat, g)
+		flat = appendSeq(flat, g)
+	}
+	return seqOf(flat)
+}
+
+// ConsSeq is NewSeq(head, rest...) with at most one slice allocation. When
+// head is True and rest needs no flattening, the result shares rest, which
+// the caller must not modify afterwards.
+func ConsSeq(head Goal, rest []Goal) Goal {
+	if _, done := head.(True); done && isFlatSeq(rest) {
+		return seqOf(rest[:len(rest):len(rest)])
+	}
+	n := len(rest) + 1
+	if s, ok := head.(*Seq); ok {
+		n += len(s.Goals) - 1
+	}
+	flat := appendSeq(make([]Goal, 0, n), head)
+	for _, g := range rest {
+		flat = appendSeq(flat, g)
+	}
+	return seqOf(flat)
+}
+
+// appendSeq appends g to a flat sequence: a nested Seq is spliced in and
+// True, the unit of ⊗, is dropped.
+func appendSeq(flat []Goal, g Goal) []Goal {
+	switch g := g.(type) {
+	case True:
+		return flat
+	case *Seq:
+		return append(flat, g.Goals...)
+	}
+	return append(flat, g)
+}
+
+// isFlatSeq reports whether appendSeq would keep every goal as it is.
+func isFlatSeq(goals []Goal) bool {
+	for _, g := range goals {
+		switch g.(type) {
+		case True, *Seq:
+			return false
 		}
 	}
+	return true
+}
+
+// seqOf wraps a flat sequence: True when empty, the goal itself when alone.
+func seqOf(flat []Goal) Goal {
 	switch len(flat) {
 	case 0:
 		return True{}

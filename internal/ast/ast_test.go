@@ -1,6 +1,7 @@
 package ast
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/term"
@@ -445,5 +446,27 @@ func TestCheckSafetyEqEitherSide(t *testing.T) {
 	g2 := NewSeq(&Builtin{Name: "eq", Args: []term.Term{x, y}})
 	if issues := CheckGoalSafety(g2, nil); len(issues) == 0 {
 		t.Fatal("eq with both sides unbound not flagged")
+	}
+}
+
+// TestConsSeqMatchesNewSeq checks ConsSeq against NewSeq over heads of
+// every shape and tails with and without goals to flatten.
+func TestConsSeqMatchesNewSeq(t *testing.T) {
+	a, b, c := lit(OpQuery, "a"), lit(OpQuery, "b"), lit(OpQuery, "c")
+	heads := []Goal{True{}, a, &Seq{Goals: []Goal{b, c}}, &Conc{Goals: []Goal{b, c}}}
+	tails := [][]Goal{
+		nil,
+		{b},
+		{b, c},
+		{True{}, c},
+		{&Seq{Goals: []Goal{a, b}}, c},
+	}
+	for _, head := range heads {
+		for _, rest := range tails {
+			want := NewSeq(append([]Goal{head}, rest...)...)
+			if got := ConsSeq(head, rest); !reflect.DeepEqual(got, want) {
+				t.Errorf("ConsSeq(%v, %v) = %v, want %v", head, rest, got, want)
+			}
+		}
 	}
 }

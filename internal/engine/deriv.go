@@ -12,14 +12,16 @@ import (
 
 // deriv holds the mutable state of one search.
 type deriv struct {
-	e   *Engine
-	d   *db.DB
+	e *Engine
+	d *db.DB
+	// env binds the fresh variables ren hands out in dense slots. ren is
+	// rewound with the search (see the call step), so those ids, and the
+	// slots, stay as few as the live path's variables.
 	env *term.Env
 	ren *term.Renamer
 	// prn is the derivation's pooled Renaming, Reset and reused for every
-	// candidate clause instead of allocating a fresh map per attempt. Safe
-	// because a renaming is consumed entirely (head and body renamed)
-	// before the call step recurses.
+	// candidate clause. Safe because a renaming is consumed entirely (head
+	// and body renamed) before the call step recurses.
 	prn *term.Renaming
 	err error
 
@@ -111,8 +113,11 @@ type deriv struct {
 
 	// keyBuf and keyVars are scratch space for configKey, reused across
 	// calls (the canonicalization is the search's hottest allocation site).
+	// keyVars numbers a key's variables through the env's indexing;
+	// keyNext is the next number to hand out.
 	keyBuf  []byte
-	keyVars map[int64]int
+	keyVars *term.Slots[int]
+	keyNext int
 
 	// argBuf is scratch for resolving update arguments when tracing is off
 	// (with tracing on, resolved atoms must be owned by the trace).
@@ -147,8 +152,9 @@ func newDeriv(e *Engine, d *db.DB) *deriv {
 		return dv
 	}
 	e.poolMisses.Add(1)
-	dv := &deriv{e: e, d: d, env: term.NewEnv(), ren: term.NewRenamer(e.prog.VarHigh + 1_000_000)}
+	dv := &deriv{e: e, d: d, env: term.NewEnv(), ren: term.NewRenamer(0), keyVars: term.NewSlots[int](0)}
 	dv.prn = dv.ren.NewRenaming()
+	dv.setBase(e.freshBase())
 	if e.opts.LoopCheck {
 		dv.path = make(map[ckey]bool)
 	}
@@ -198,14 +204,26 @@ func (dv *deriv) reset(d *db.DB) {
 	dv.profLast = time.Time{}
 	dv.shared = nil
 	dv.frontier = nil
-	dv.env.Reset()
-	dv.prn.Reset()
+	dv.setBase(dv.e.freshBase())
 	if dv.path != nil {
 		clear(dv.path)
 	}
 	if dv.failed != nil {
 		clear(dv.failed)
 	}
+}
+
+// freshBase is the first id a derivation's renamer hands out: far above
+// every source variable, and above the ids goals are parsed with.
+func (e *Engine) freshBase() int64 { return e.prog.VarHigh + 1_000_000 }
+
+// setBase empties the bindings and restarts fresh-variable numbering at
+// base. ProvePar's workers start above every id their subtree holds.
+func (dv *deriv) setBase(base int64) {
+	dv.ren.Rewind(base)
+	dv.env.SetBase(base)
+	dv.keyVars.SetBase(base)
+	dv.prn.Reset()
 }
 
 // release returns the deriv to the engine's pool. Callers must be done
@@ -454,7 +472,7 @@ func (dv *deriv) step(g ast.Goal, rebuild func(ast.Goal) ast.Goal, depth int, em
 			dv.env.Undo(envMark)
 			return true
 		}
-		dv.pushTrace(TraceEntry{Op: TraceBuiltin, Atom: dv.env.ResolveAtom(term.Atom{Pred: g.Name, Args: g.Args})})
+		dv.pushTraceAtom(TraceBuiltin, term.Atom{Pred: g.Name, Args: g.Args}, 0)
 		cont := dv.explore(rebuild(ast.True{}), depth+1, emit)
 		dv.popTrace(cont)
 		if cont {
@@ -465,10 +483,7 @@ func (dv *deriv) step(g ast.Goal, rebuild func(ast.Goal) ast.Goal, depth int, em
 	case *ast.Seq:
 		rest := g.Goals[1:]
 		return dv.step(g.Goals[0], func(res ast.Goal) ast.Goal {
-			goals := make([]ast.Goal, 0, len(rest)+1)
-			goals = append(goals, res)
-			goals = append(goals, rest...)
-			return rebuild(ast.NewSeq(goals...))
+			return rebuild(ast.ConsSeq(res, rest))
 		}, depth, emit)
 
 	case *ast.Conc:
@@ -546,7 +561,7 @@ func (dv *deriv) stepLit(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int,
 			return false
 		}
 		return dv.d.Scan(g.Atom.Pred, g.Atom.Args, dv.env, func() bool {
-			dv.pushTrace(TraceEntry{Op: TraceQuery, Atom: dv.env.ResolveAtom(g.Atom)})
+			dv.pushTraceAtom(TraceQuery, g.Atom, 0)
 			cont := dv.explore(rebuild(ast.True{}), depth+1, emit)
 			dv.popTrace(cont)
 			return cont
@@ -643,21 +658,24 @@ func (dv *deriv) stepLit(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int,
 			// convention.
 			return true
 		}
+		// Every variable live before the loop has an id below high, and a
+		// candidate's variables are dead once its subtree is backtracked:
+		// each candidate numbers its fresh variables from high again.
+		high := dv.ren.High()
 		for _, r := range rules {
 			if !dv.budget() {
 				return false
 			}
+			dv.ren.Rewind(high)
 			rn := dv.prn
 			rn.Reset()
-			head := rn.Atom(r.Head)
 			envMark := dv.env.Mark()
 			dv.unifs++
-			if !dv.env.UnifyAtoms(head, g.Atom) {
-				dv.env.Undo(envMark)
+			if !dv.env.UnifyRenamed(r.Head, rn, g.Atom) {
 				continue
 			}
 			body := ast.Rename(r.Body, rn)
-			dv.pushTrace(TraceEntry{Op: TraceCall, Atom: dv.env.ResolveAtom(g.Atom)})
+			dv.pushTraceAtom(TraceCall, g.Atom, 0)
 			cont := dv.explore(rebuild(body), depth+1, emit)
 			dv.popTrace(cont)
 			if !cont {
@@ -688,6 +706,14 @@ func (dv *deriv) budget() bool {
 		return false
 	}
 	return true
+}
+
+// pushTraceAtom records op on atom a, resolved under the current bindings.
+// Untraced search builds no entry and resolves nothing.
+func (dv *deriv) pushTraceAtom(op TraceOp, a term.Atom, memo uint8) {
+	if dv.e.opts.Trace {
+		dv.pushTrace(TraceEntry{Op: op, Atom: dv.env.ResolveAtom(a), Memo: memo})
+	}
 }
 
 func (dv *deriv) pushTrace(t TraceEntry) {
@@ -809,18 +835,16 @@ type ckey [2]uint64
 // the database fingerprint) and hashes it. Free variables are numbered by
 // first occurrence, so α-equivalent configurations share keys; branches of
 // a concurrent composition are sorted, exploiting commutativity of | to
-// merge symmetric states. The scratch buffer and numbering map are reused
-// across calls, and the key is a fixed-size hash rather than a retained
-// string — the canonicalization used to be the search's hottest allocation
-// site and now allocates nothing in steady state.
+// merge symmetric states. The scratch buffer and the generation-stamped
+// numbering slots are reused across calls (starting a key is O(1), not a map
+// clear), and the key is a fixed-size hash rather than a retained string —
+// the canonicalization used to be the search's hottest allocation site and
+// now allocates nothing in steady state outside '|' compositions.
 func (dv *deriv) configKey(g ast.Goal) ckey {
 	buf := dv.keyBuf[:0]
-	if dv.keyVars == nil {
-		dv.keyVars = make(map[int64]int, 16)
-	} else {
-		clear(dv.keyVars)
-	}
-	buf = dv.writeCanon(buf, g, dv.keyVars)
+	dv.keyVars.Clear()
+	dv.keyNext = 0
+	buf = dv.writeCanon(buf, g)
 	dv.keyBuf = buf
 	// Two streams with distinct multipliers so they stay independent.
 	const primeLo, primeHi = 1099511628211, 0xff51afd7ed558ccd
@@ -836,7 +860,7 @@ func (dv *deriv) configKey(g ast.Goal) ckey {
 	return ckey{lo, hi}
 }
 
-func (dv *deriv) writeCanon(buf []byte, g ast.Goal, vars map[int64]int) []byte {
+func (dv *deriv) writeCanon(buf []byte, g ast.Goal) []byte {
 	switch g := g.(type) {
 	case ast.True:
 		buf = append(buf, 'T')
@@ -851,20 +875,20 @@ func (dv *deriv) writeCanon(buf []byte, g ast.Goal, vars map[int64]int) []byte {
 		default:
 			buf = append(buf, 'c', ':')
 		}
-		buf = dv.writeCanonAtom(buf, g.Atom, vars)
+		buf = dv.writeCanonAtom(buf, g.Atom)
 	case *ast.Empty:
 		buf = append(buf, 'e', ':')
 		buf = append(buf, g.Pred...)
 	case *ast.Builtin:
 		buf = append(buf, 'b', ':')
-		buf = dv.writeCanonAtom(buf, term.Atom{Pred: g.Name, Args: g.Args}, vars)
+		buf = dv.writeCanonAtom(buf, term.Atom{Pred: g.Name, Args: g.Args})
 	case *ast.Seq:
 		buf = append(buf, 'S', '(')
 		for i, sub := range g.Goals {
 			if i > 0 {
 				buf = append(buf, ';')
 			}
-			buf = dv.writeCanon(buf, sub, vars)
+			buf = dv.writeCanon(buf, sub)
 		}
 		buf = append(buf, ')')
 	case *ast.Conc:
@@ -873,7 +897,7 @@ func (dv *deriv) writeCanon(buf []byte, g ast.Goal, vars map[int64]int) []byte {
 		// are serialized with the shared numbering first, then sorted.
 		parts := make([]string, len(g.Goals))
 		for i, sub := range g.Goals {
-			parts[i] = string(dv.writeCanon(nil, sub, vars))
+			parts[i] = string(dv.writeCanon(nil, sub))
 		}
 		sortStrings(parts)
 		buf = append(buf, 'C', '(')
@@ -886,13 +910,13 @@ func (dv *deriv) writeCanon(buf []byte, g ast.Goal, vars map[int64]int) []byte {
 		buf = append(buf, ')')
 	case *ast.Iso:
 		buf = append(buf, 'I', '(')
-		buf = dv.writeCanon(buf, g.Body, vars)
+		buf = dv.writeCanon(buf, g.Body)
 		buf = append(buf, ')')
 	}
 	return buf
 }
 
-func (dv *deriv) writeCanonAtom(buf []byte, a term.Atom, vars map[int64]int) []byte {
+func (dv *deriv) writeCanonAtom(buf []byte, a term.Atom) []byte {
 	buf = append(buf, a.Pred...)
 	buf = append(buf, '(')
 	for i, t := range a.Args {
@@ -901,10 +925,11 @@ func (dv *deriv) writeCanonAtom(buf []byte, a term.Atom, vars map[int64]int) []b
 		}
 		w := dv.env.Walk(t)
 		if w.IsVar() {
-			n, ok := vars[w.VarID()]
+			n, ok := dv.keyVars.Get(w.VarID())
 			if !ok {
-				n = len(vars)
-				vars[w.VarID()] = n
+				n = dv.keyNext
+				dv.keyNext++
+				dv.keyVars.Put(w.VarID(), n)
 			}
 			buf = append(buf, '_')
 			buf = strconv.AppendInt(buf, int64(n), 10)

@@ -34,7 +34,7 @@ func (e *Engine) ProvePar(goal ast.Goal, d *db.DB, workers int) (*Result, error)
 		workers = 1
 	}
 
-	sucs, err := e.collectSuccessors(goal, d)
+	sucs, high, err := e.collectSuccessors(goal, d)
 	if err != nil {
 		return nil, err
 	}
@@ -69,6 +69,8 @@ func (e *Engine) ProvePar(goal ast.Goal, d *db.DB, workers int) (*Result, error)
 				return
 			}
 			dv := newDeriv(e, st.d)
+			// Fresh ids start above every variable the successor holds.
+			dv.setBase(high)
 			dv.shared = &sharedSteps
 			found := false
 			dv.explore(st.tree, 1, func() bool {
@@ -136,13 +138,16 @@ type successor struct {
 // collectSuccessors enumerates the single-step successors of goal from d
 // using the engine's own transition relation: a depth-limited exploration
 // whose cutoff hook captures each frontier configuration. d is rolled
-// back afterwards.
-func (e *Engine) collectSuccessors(goal ast.Goal, d *db.DB) ([]successor, error) {
+// back afterwards. high is above the id of every fresh variable the
+// successors hold: workers must number their own fresh variables from it.
+func (e *Engine) collectSuccessors(goal ast.Goal, d *db.DB) (_ []successor, high int64, _ error) {
 	dv := newDeriv(e, d)
 	var out []successor
 	mark := d.Mark()
 	dv.depthLimit = 1
+	high = dv.ren.High()
 	dv.frontier = func(res ast.Goal) {
+		high = max(high, dv.ren.High())
 		out = append(out, successor{
 			tree:  resolveGoalEng(res, dv.env),
 			d:     d.Clone(),
@@ -155,14 +160,14 @@ func (e *Engine) collectSuccessors(goal ast.Goal, d *db.DB) ([]successor, error)
 	dv.explore(goal, 1, func() bool { done = true; return true })
 	d.Undo(mark)
 	if dv.err != nil {
-		return nil, dv.err
+		return nil, 0, dv.err
 	}
 	if done && len(out) == 0 {
 		// Zero-step completion (goal was True): signal via empty frontier;
 		// ProvePar handles it from the goal shape.
-		return nil, nil
+		return nil, 0, nil
 	}
-	return out, nil
+	return out, high, nil
 }
 
 // resolveGoalEng substitutes current bindings into g, leaving unbound

@@ -149,3 +149,29 @@ func TestProveParAgreesWithProve(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestProveParWorkerFreshIDs is a regression test: a worker must number its
+// fresh variables above every variable its successor tree already holds.
+// Here the first step renames p's body to a(X'), b(Y'), c(X', Y'); a worker
+// that restarted numbering where the collector began would give a's rule
+// variables the ids of X' and Y', binding Y' to 1 through h(W, X) and
+// failing b(Y') although the goal is provable.
+func TestProveParWorkerFreshIDs(t *testing.T) {
+	prog := parser.MustParse(`
+		h(1, 5). b(2). c(5, 2).
+		a(X) :- h(W, X).
+		p :- a(X), b(Y), c(X, Y).
+	`)
+	g := parser.MustParseGoal("p", prog.VarHigh)
+	d, _ := db.FromFacts(prog.Facts)
+	if res, err := NewDefault(prog).Prove(g, d); err != nil || !res.Success {
+		t.Fatalf("Prove: success=%v err=%v, want success", res != nil && res.Success, err)
+	}
+	// A fresh engine: ProvePar's collector and worker both start from an
+	// empty pool.
+	d, _ = db.FromFacts(prog.Facts)
+	res, err := NewDefault(prog).ProvePar(g, d, 1)
+	if err != nil || !res.Success {
+		t.Fatalf("ProvePar: success=%v err=%v, want success", res != nil && res.Success, err)
+	}
+}

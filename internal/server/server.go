@@ -1027,7 +1027,9 @@ func (s *Server) commit(sess *session, rs *readSet, ops []db.Op) (uint64, error)
 	for _, sh := range locked {
 		sess.applied[sh.idx].Store(lsn)
 	}
-	sess.version = lsn
+	// sess.version stays where it was: lanes this commit did not touch may
+	// hold commits the replica has not seen, and only syncSession, which
+	// catches up every lane, may move the watermark past them.
 	unlockAll()
 
 	// The committer's replica holds (its old per-lane positions + ops);

@@ -267,14 +267,12 @@ func (sess *session) handleLoad(req *Request) *Response {
 	sess.prog = prog
 	sess.varHigh = prog.VarHigh
 	sess.buildEngine()
-	if resp := sess.commitFacts(prog.Facts); resp != nil {
-		return resp
-	}
-	return &Response{OK: true, Version: sess.version}
+	return sess.commitFacts(prog.Facts)
 }
 
 // commitFacts installs facts through the OCC commit path, retrying on
-// conflicts. Returns nil on success.
+// conflicts. On success the response carries the version of the commit, or
+// the session's version when every fact was already present.
 func (sess *session) commitFacts(facts []term.Atom) *Response {
 	for attempt := 0; ; attempt++ {
 		sess.srv.syncSession(sess)
@@ -288,12 +286,12 @@ func (sess *session) commitFacts(facts []term.Atom) *Response {
 		ops := sess.d.DeltaSince(mark)
 		if len(ops) == 0 {
 			sess.d.Undo(mark)
-			return nil // everything already present
+			return &Response{OK: true, Version: sess.version}
 		}
-		_, err := sess.srv.commit(sess, rs, ops)
+		version, err := sess.srv.commit(sess, rs, ops)
 		switch {
 		case err == nil:
-			return nil
+			return &Response{OK: true, Version: version}
 		case errors.Is(err, errConflict):
 			sess.d.Undo(mark)
 			if attempt >= sess.srv.opts.MaxRetries {

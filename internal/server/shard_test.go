@@ -203,3 +203,55 @@ func TestShardedSerializabilityHammer(t *testing.T) {
 		t.Fatalf("server final state differs from the LSN-order serial replay:\nserver:\n%s\nreplay:\n%s", d, replay)
 	}
 }
+
+// TestSessionCatchesUpOtherLanesAfterCommit is a regression test for the
+// session watermark: a commit catches the committer up on the lanes it
+// wrote, never on the others, so it must not move the session's version
+// past commits on lanes it skipped. Session B opens a transaction (syncing
+// at version 0) and writes lane Y; session A commits on lane X; B commits
+// (LSN 2) and then queries A's tuple, which its next sync must bring in.
+func TestSessionCatchesUpOtherLanesAfterCommit(t *testing.T) {
+	const nshards = 2
+	var x, y string
+	for i := 0; x == "" || y == ""; i++ {
+		name := fmt.Sprintf("k%d", i)
+		switch db.ShardOf(nshards, "item", term.NewSym(name).Code()) {
+		case 0:
+			if x == "" {
+				x = name
+			}
+		case 1:
+			if y == "" {
+				y = name
+			}
+		}
+	}
+	s, err := New(Options{Program: "put(X) :- ins.item(X).", StoreShards: nshards})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	a, b := s.InProcClient(), s.InProcClient()
+	defer a.Close()
+	defer b.Close()
+
+	if err := b.Begin(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Run("put(" + y + ")"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Exec("put(" + x + ")"); err != nil {
+		t.Fatal(err)
+	}
+	if v, err := b.Commit(); err != nil || v != 2 {
+		t.Fatalf("B's commit: version %d, err %v; want version 2", v, err)
+	}
+	rows, err := b.Query("item("+x+")", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rows) != 1 {
+		t.Fatalf("session B queried item(%s) after its own commit: %d answers, want 1 (A's commit on the other lane)", x, len(rows))
+	}
+}

@@ -127,6 +127,10 @@ type run struct {
 	s   *Sim
 	d   *db.DB
 	ren *term.Renamer
+	// rn is the run's one Renaming, reset for every rule attempt. Rule
+	// selection runs under mu, and an attempt renames head and body before
+	// the next begins.
+	rn *term.Renaming
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -170,6 +174,7 @@ func (s *Sim) Run(goal ast.Goal, d0 *db.DB) *Result {
 		rng:      rand.New(rand.NewSource(s.opts.Seed)),
 		deadline: time.Now().Add(s.opts.Timeout),
 	}
+	r.rn = r.ren.NewRenaming()
 	r.cond = sync.NewCond(&r.mu)
 	r.parked = make(map[int]int64)
 	r.d.ResetTrail()
@@ -467,7 +472,8 @@ func (r *run) call(g *ast.Lit, env *term.Env, task int, inIso bool) error {
 		}
 		for _, ri := range order {
 			rule := rules[ri]
-			rn := r.ren.NewRenaming()
+			rn := r.rn
+			rn.Reset()
 			head := rn.Atom(rule.Head)
 			body := ast.Rename(rule.Body, rn)
 			tryEnv := term.NewEnv()

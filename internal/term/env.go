@@ -1,37 +1,77 @@
 package term
 
+import "math"
+
 // Env is a binding environment: a mutable map from variable ids to terms,
 // with a trail that supports O(1) marking and O(changes) undo. The engine
 // uses a single Env per derivation and rewinds it on backtracking.
+//
+// Variables with ids in [base, base+MaxDense) — the fresh variables a
+// derivation's Renamer hands out — are bound in a slice indexed by
+// id − base, so the search's hottest lookups touch no map. Every other id
+// (source and goal variables, or any id before SetBase is called) is
+// bound in a map.
 //
 // Bindings may form var→var chains; Walk resolves them. Env performs no
 // occurs check: the language is function-free, so cyclic bindings other than
 // benign var→var self-unifications cannot arise.
 type Env struct {
-	bind  map[int64]Term
+	base  int64
+	dense []binding
+	far   map[int64]Term
 	trail []int64
 }
 
-// NewEnv returns an empty environment.
-func NewEnv() *Env {
-	return &Env{bind: make(map[int64]Term)}
+// binding is one dense slot. The bound flag is kept apart from the term:
+// no Term value is free to serve as an "unbound" marker.
+type binding struct {
+	t     Term
+	bound bool
 }
 
-// Len returns the number of bound variables.
-func (e *Env) Len() int { return len(e.bind) }
+// MaxDense bounds the id range an Env (or a Slots table) indexes directly;
+// ids past it fall back to the map, so a stray large id cannot force a huge
+// slice.
+const MaxDense = 1 << 20
+
+// noBase places every id in the map: id − math.MaxInt64 is never in
+// [0, MaxDense) as an unsigned offset.
+const noBase = math.MaxInt64
+
+// NewEnv returns an empty environment that binds every variable in a map
+// until SetBase gives it a dense range.
+func NewEnv() *Env { return &Env{base: noBase} }
+
+// SetBase empties the environment and binds variables with ids in
+// [base, base+MaxDense) densely from now on (see Env).
+func (e *Env) SetBase(base int64) {
+	e.Reset()
+	e.base = base
+}
+
+// Len returns the number of bound variables. Only unbound variables are
+// ever bound, and each binding is trailed once, so this is the trail length.
+func (e *Env) Len() int { return len(e.trail) }
 
 // Reset removes every binding and empties the trail, keeping allocated
 // capacity so a pooled environment can be reused without reallocating.
 func (e *Env) Reset() {
-	clear(e.bind)
-	e.trail = e.trail[:0]
+	e.Undo(0)
+	clear(e.far)
 }
 
 // Walk resolves t through the current bindings until it reaches a constant
 // or an unbound variable.
 func (e *Env) Walk(t Term) Term {
-	for t.IsVar() {
-		u, ok := e.bind[t.VarID()]
+	for t.kind == Var {
+		if i := uint64(t.num - e.base); i < MaxDense {
+			if i >= uint64(len(e.dense)) || !e.dense[i].bound {
+				return t
+			}
+			t = e.dense[i].t
+			continue
+		}
+		u, ok := e.far[t.num]
 		if !ok {
 			return t
 		}
@@ -47,14 +87,29 @@ func (e *Env) Mark() int { return len(e.trail) }
 // Undo rewinds the environment to a previous Mark.
 func (e *Env) Undo(mark int) {
 	for i := len(e.trail) - 1; i >= mark; i-- {
-		delete(e.bind, e.trail[i])
+		id := e.trail[i]
+		if j := uint64(id - e.base); j < MaxDense {
+			e.dense[j] = binding{}
+		} else {
+			delete(e.far, id)
+		}
 	}
 	e.trail = e.trail[:mark]
 }
 
 // bindVar records id ↦ t.
 func (e *Env) bindVar(id int64, t Term) {
-	e.bind[id] = t
+	if i := uint64(id - e.base); i < MaxDense {
+		if i >= uint64(len(e.dense)) {
+			e.dense = append(e.dense, make([]binding, int(i)+1-len(e.dense))...)
+		}
+		e.dense[i] = binding{t: t, bound: true}
+	} else {
+		if e.far == nil {
+			e.far = make(map[int64]Term)
+		}
+		e.far[id] = t
+	}
 	e.trail = append(e.trail, id)
 }
 
@@ -89,9 +144,21 @@ func (e *Env) UnifyAtoms(a, b Atom) bool {
 	if a.Pred != b.Pred || len(a.Args) != len(b.Args) {
 		return false
 	}
+	return e.UnifyArgs(a.Args, b.Args)
+}
+
+// UnifyRenamed unifies head, renamed through rn, with call — the same
+// bindings as UnifyAtoms(rn.Atom(head), call) without building the renamed
+// atom. Arguments are renamed one at a time as they are unified, so a head
+// that fails to unify allocates nothing. On failure every binding made
+// during the attempt is undone; rn may have handed out fresh variables.
+func (e *Env) UnifyRenamed(head Atom, rn *Renaming, call Atom) bool {
+	if head.Pred != call.Pred || len(head.Args) != len(call.Args) {
+		return false
+	}
 	mark := e.Mark()
-	for i := range a.Args {
-		if !e.Unify(a.Args[i], b.Args[i]) {
+	for i, t := range head.Args {
+		if !e.Unify(rn.Term(t), call.Args[i]) {
 			e.Undo(mark)
 			return false
 		}
@@ -118,11 +185,7 @@ func (e *Env) Resolve(t Term) Term { return e.Walk(t) }
 
 // ResolveAtom returns a copy of a with every argument walked.
 func (e *Env) ResolveAtom(a Atom) Atom {
-	out := Atom{Pred: a.Pred, Args: make([]Term, len(a.Args))}
-	for i, t := range a.Args {
-		out.Args[i] = e.Walk(t)
-	}
-	return out
+	return Atom{Pred: a.Pred, Args: e.ResolveArgs(a.Args)}
 }
 
 // ResolveArgs returns a new slice with each term walked.
