@@ -34,13 +34,16 @@ race:
 # tests get an explicit race-instrumented pass with a longer count: they
 # exercise the commit pipeline's cross-goroutine handoffs (flusher,
 # waiters, lock-free validation) far harder than the rest of the suite.
+# The memo tests in that pass cover the engine package, which is not
+# otherwise raced: a memo hit's reads reaching OCC, and memo validation
+# against random writes.
 # The benchmark's generator and gate tests run too, so a change that breaks
 # tdperf fails here rather than in the benchmark run.
 check: vet
 	$(GO) test ./...
 	cd tdperf && $(TDPERF_ENV) $(GO) test ./...
 	$(GO) test -race ./internal/server ./internal/db ./internal/term ./internal/obs ./internal/history
-	$(GO) test -race -count=2 -run 'TestGroupCommit|TestConcurrentTransfers|TestShardedSerializabilityHammer|TestMemoTableHammer' ./internal/server ./internal/engine
+	$(GO) test -race -count=2 -run 'TestGroupCommit|TestConcurrentTransfers|TestShardedSerializabilityHammer|TestMemoTableHammer|TestMemoHitRecordsReads|TestMemoDifferentialRandomWrites' ./internal/server ./internal/engine
 	$(GO) test -race -count=2 -run 'TestCheckpoint|TestWALv1|TestASOF|TestPersistentLSNs|TestCommitsFlowDuringCheckpoint' ./internal/db ./internal/server
 
 cover:

@@ -22,6 +22,7 @@ package db
 import (
 	"fmt"
 	"iter"
+	"maps"
 	"sort"
 	"strings"
 
@@ -151,24 +152,25 @@ type relation struct {
 	// computed once so per-tuple hashing only folds the argument codes.
 	seedLo uint64
 	seedHi uint64
-	// version counts mutations of this relation (monotone within one DB;
-	// NOT comparable across replicas — each counts its own churn).
-	version uint64
 	// fpLo/fpHi are the relation's own 128-bit content fingerprint, the
 	// per-relation slice of the DB fingerprint. XOR-maintained from the
 	// same tuple hashes, so two replicas holding the same tuples agree on
-	// it regardless of how they got there — the property snapshot-
-	// versioned memo tables key on.
+	// it regardless of how they got there — the property memo tables
+	// validate their reads against.
 	fpLo uint64
 	fpHi uint64
 }
 
-// ibucket is one first-argument index bucket, with the same per-bucket
-// scan-order cache as the relation.
+// ibucket is one first-argument index bucket, with a scan-order cache like
+// the relation's and its own slice of the relation's content fingerprint
+// (the XOR over a relation's buckets is the relation fingerprint). Only
+// Scan reads a bucket's order, always sorted or always not as the DB's
+// detScan says, so unlike the relation's cache it needs no sorted flag.
 type ibucket struct {
-	rows   map[string][]term.Term
-	order  [][]term.Term
-	sorted bool
+	rows  map[string][]term.Term
+	order [][]term.Term
+	fpLo  uint64
+	fpHi  uint64
 }
 
 // change is one undo-log entry.
@@ -367,6 +369,7 @@ func (d *DB) Delete(pred string, row []term.Term) bool {
 }
 
 func (d *DB) removeRow(r *relation, key string, stored []term.Term) {
+	lo, hi := tupleHashFrom(r.seedLo, r.seedHi, stored)
 	delete(r.rows, key)
 	r.order = nil
 	if r.index != nil {
@@ -374,6 +377,8 @@ func (d *DB) removeRow(r *relation, key string, stored []term.Term) {
 		if b := r.index[c]; b != nil {
 			delete(b.rows, key)
 			b.order = nil
+			b.fpLo ^= lo
+			b.fpHi ^= hi
 			if len(b.rows) == 0 {
 				delete(r.index, c)
 				r.free = b
@@ -381,15 +386,14 @@ func (d *DB) removeRow(r *relation, key string, stored []term.Term) {
 		}
 	}
 	d.size--
-	lo, hi := tupleHashFrom(r.seedLo, r.seedHi, stored)
 	d.hashLo ^= lo
 	d.hashHi ^= hi
-	r.version++
 	r.fpLo ^= lo
 	r.fpHi ^= hi
 }
 
 func (d *DB) addRow(r *relation, key string, stored []term.Term) {
+	lo, hi := tupleHashFrom(r.seedLo, r.seedHi, stored)
 	r.rows[key] = trow{key: key, row: stored}
 	r.order = nil
 	if r.index != nil {
@@ -405,12 +409,12 @@ func (d *DB) addRow(r *relation, key string, stored []term.Term) {
 		}
 		b.rows[key] = stored
 		b.order = nil
+		b.fpLo ^= lo
+		b.fpHi ^= hi
 	}
 	d.size++
-	lo, hi := tupleHashFrom(r.seedLo, r.seedHi, stored)
 	d.hashLo ^= lo
 	d.hashHi ^= hi
-	r.version++
 	r.fpLo ^= lo
 	r.fpHi ^= hi
 }
@@ -442,18 +446,6 @@ func (d *DB) TrailLen() int { return len(d.trail) }
 // independent of insertion order. Used as a tabling key.
 func (d *DB) Fingerprint() [2]uint64 { return [2]uint64{d.hashLo, d.hashHi} }
 
-// RelVersion returns the mutation counter of pred/arity: bumped on every
-// addRow/removeRow (including undo replay), monotone within this DB.
-// Counters are NOT comparable across replicas — each DB counts its own
-// churn — so cross-DB staleness checks must use RelFingerprint instead.
-// A relation never touched reports 0.
-func (d *DB) RelVersion(pred string, arity int) uint64 {
-	if r := d.rel(pred, arity, false); r != nil {
-		return r.version
-	}
-	return 0
-}
-
 // RelFingerprint returns the 128-bit content fingerprint of pred/arity —
 // the relation's slice of the whole-DB Fingerprint. It is a pure function
 // of the relation's tuple set: replicas holding the same tuples agree on
@@ -481,6 +473,69 @@ func (d *DB) PredFingerprint(pred string) [2]uint64 {
 	return [2]uint64{lo, hi}
 }
 
+// BucketFingerprint returns the 128-bit content fingerprint of the
+// first-argument index bucket of pred/arity whose first argument has the
+// ground code first: the XOR of its tuples' hashes, so, like
+// RelFingerprint, a pure function of the tuples it holds (replicas agree
+// on it, and rolling mutations back restores it). An absent bucket or
+// relation fingerprints as {0, 0}. Without an index (WithoutIndex, or a
+// zero-arity relation) the only bucket is the whole relation, and the
+// relation fingerprint is returned.
+func (d *DB) BucketFingerprint(pred string, arity int, first uint64) [2]uint64 {
+	r := d.rel(pred, arity, false)
+	if r == nil {
+		return [2]uint64{}
+	}
+	if r.index == nil {
+		return [2]uint64{r.fpLo, r.fpHi}
+	}
+	if b := r.index[first]; b != nil {
+		return [2]uint64{b.fpLo, b.fpHi}
+	}
+	return [2]uint64{}
+}
+
+// IndexBuckets returns the number of non-empty first-argument index
+// buckets of pred/arity: 0 for a missing relation and for a DB or
+// relation without an index.
+func (d *DB) IndexBuckets(pred string, arity int) int {
+	if r := d.rel(pred, arity, false); r != nil {
+		return len(r.index)
+	}
+	return 0
+}
+
+// ObserveRead reports a read made without a lookup to the read hook, if
+// one is installed: memo tables replay answers whose reads an earlier
+// search made, and report them so transactional read sets stay complete.
+// first is the first-argument code of a ReadPrefix observation. The hook's
+// prefix key is rebuilt from a stored row of that bucket; an absent bucket
+// has no row to rebuild it from and is reported as the coarser ReadRel.
+// Without a hook the call is an inlined nil check.
+func (d *DB) ObserveRead(kind ReadKind, pred string, arity int, first uint64) {
+	if d.readHook != nil {
+		d.observeRead(kind, pred, arity, first)
+	}
+}
+
+func (d *DB) observeRead(kind ReadKind, pred string, arity int, first uint64) {
+	if kind == ReadPrefix {
+		var b *ibucket
+		if r := d.rel(pred, arity, false); r != nil && r.index != nil {
+			b = r.index[first]
+		}
+		if b == nil {
+			d.readHook(ReadRel, pred, arity, "", 0)
+			return
+		}
+		for _, row := range b.rows {
+			d.readHook(ReadPrefix, pred, arity, term.KeyOf(row[:1]), first)
+			return
+		}
+	}
+	d.readHook(kind, pred, arity, "", 0)
+}
+
 // snapshot returns a stable slice of the relation's rows, cached until the
 // next mutation. With wantSorted the slice is in deterministic term order;
 // a cached unsorted snapshot is upgraded (and re-cached) on demand. The
@@ -502,7 +557,7 @@ func (r *relation) snapshot(wantSorted bool) [][]term.Term {
 }
 
 func (b *ibucket) snapshot(wantSorted bool) [][]term.Term {
-	if b.order != nil && (!wantSorted || b.sorted) {
+	if b.order != nil {
 		return b.order
 	}
 	out := make([][]term.Term, 0, len(b.rows))
@@ -512,7 +567,7 @@ func (b *ibucket) snapshot(wantSorted bool) [][]term.Term {
 	if wantSorted {
 		sortRows(out)
 	}
-	b.order, b.sorted = out, wantSorted
+	b.order = out
 	return out
 }
 
@@ -591,7 +646,7 @@ func (d *DB) Scan(pred string, args []term.Term, env *term.Env, yield func() boo
 	if r.index != nil && !resolved[0].IsVar() {
 		d.cnt.IndexHits++
 		if b := r.index[resolved[0].Code()]; b != nil {
-			if b.order == nil || (d.detScan && !b.sorted) {
+			if b.order == nil {
 				d.cnt.OrderRebuilds++
 			}
 			candidates = b.snapshot(d.detScan)
@@ -662,26 +717,17 @@ func (d *DB) Clone() *DB {
 	out.useIndex = d.useIndex
 	out.detScan = d.detScan
 	for k, r := range d.rels {
+		// Rows are immutable once stored, so both maps share them.
 		nr := &relation{
 			pred: r.pred, arity: r.arity,
-			rows:   make(map[string]trow, len(r.rows)),
+			rows:   maps.Clone(r.rows),
 			seedLo: r.seedLo, seedHi: r.seedHi,
-			version: r.version,
-			fpLo:    r.fpLo, fpHi: r.fpHi,
+			fpLo: r.fpLo, fpHi: r.fpHi,
 		}
-		if d.useIndex && r.arity > 0 {
+		if r.index != nil {
 			nr.index = make(map[uint64]*ibucket, len(r.index))
-		}
-		for key, tr := range r.rows {
-			nr.rows[key] = tr // rows are immutable once stored
-			if nr.index != nil {
-				c := tr.row[0].Code()
-				b := nr.index[c]
-				if b == nil {
-					b = &ibucket{rows: make(map[string][]term.Term)}
-					nr.index[c] = b
-				}
-				b.rows[key] = tr.row
+			for c, b := range r.index {
+				nr.index[c] = &ibucket{rows: maps.Clone(b.rows), fpLo: b.fpLo, fpHi: b.fpHi}
 			}
 		}
 		out.rels[k] = nr

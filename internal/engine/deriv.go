@@ -37,12 +37,13 @@ type deriv struct {
 
 	// path holds canonical configuration keys along the current derivation
 	// path (for the cycle check); failed memoizes exhaustively explored
-	// configurations with no reachable success (tabling). Keys are 128-bit
-	// hashes of the canonical serialization: the same collision trade the
-	// key already made by embedding the database's 128-bit fingerprint, and
-	// it keeps the hot path free of string construction.
+	// configurations with no reachable success (tabling), each with the
+	// memo fill sequence number current when it was recorded. Keys are
+	// 128-bit hashes of the canonical serialization: the same collision
+	// trade the key already made by embedding the database's 128-bit
+	// fingerprint, and it keeps the hot path free of string construction.
 	path   map[ckey]bool
-	failed map[ckey]bool
+	failed map[ckey]uint32
 
 	tableHits int64
 	loopHits  int64
@@ -59,11 +60,17 @@ type deriv struct {
 	// guards against a recursive tabled predicate re-entering its own
 	// fill; memoBuf is key-encoding scratch, safe to reuse because a key
 	// is fully consumed (lookup or string copy) before any nested search.
+	// memoFill is the sequence number of the innermost fill in flight (0:
+	// none) and memoSeq the last one handed out, which failure-table
+	// entries are stamped with; memoLog (at the end of the struct)
+	// collects the fills' reads.
 	memoHits    int64
 	memoMisses  int64
 	memoInvalid int64
 	memoFlight  map[string]bool
 	memoBuf     []byte
+	memoFill    uint32
+	memoSeq     uint32
 
 	// concTaint marks that the current descent passed through an
 	// un-isolated '|' composition: the literal being stepped interleaves
@@ -139,6 +146,12 @@ type deriv struct {
 	// frontier, when non-nil, receives each configuration pruned by the
 	// iterative-deepening cutoff — ProvePar's successor collector.
 	frontier func(ast.Goal)
+
+	// memoLog collects the reads of the memo fills in flight, each fill
+	// owning the suffix from where it started; memoScratch is memoStamp's
+	// sort buffer.
+	memoLog     []memoRead
+	memoScratch []memoRead
 }
 
 // newDeriv returns a search state for d, reusing the engine's pooled
@@ -159,7 +172,7 @@ func newDeriv(e *Engine, d *db.DB) *deriv {
 		dv.path = make(map[ckey]bool)
 	}
 	if e.opts.Table {
-		dv.failed = make(map[ckey]bool)
+		dv.failed = make(map[ckey]uint32)
 	}
 	return dv
 }
@@ -183,6 +196,9 @@ func (dv *deriv) reset(d *db.DB) {
 	if dv.memoFlight != nil {
 		clear(dv.memoFlight)
 	}
+	dv.memoLog = dv.memoLog[:0]
+	dv.memoFill = 0
+	dv.memoSeq = 0
 	dv.concTaint = false
 	dv.trace = dv.trace[:0]
 	dv.branchStack = dv.branchStack[:0]
@@ -369,9 +385,14 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 	usingKey := dv.path != nil || dv.failed != nil
 	if usingKey {
 		key = dv.configKey(g)
-		if dv.failed != nil && dv.failed[key] {
-			dv.tableHits++
-			return true
+		if dv.failed != nil {
+			// Inside a memo fill, only entries recorded since the fill
+			// began may prune: the reads below an older entry are not in
+			// the fill's read log.
+			if seq, ok := dv.failed[key]; ok && seq >= dv.memoFill {
+				dv.tableHits++
+				return true
+			}
 		}
 		if dv.path != nil {
 			if dv.path[key] {
@@ -406,7 +427,7 @@ func (dv *deriv) explore(g ast.Goal, depth int, emit func() bool) bool {
 	// below, no error, and no iterative-deepening cutoff (a deeper
 	// iteration could still succeed from this configuration).
 	if cont && !emitted && dv.failed != nil && dv.err == nil && dv.cutoffs == cutBefore {
-		dv.failed[key] = true
+		dv.failed[key] = dv.memoSeq
 	}
 	return cont
 }
@@ -449,6 +470,9 @@ func (dv *deriv) step(g ast.Goal, rebuild func(ast.Goal) ast.Goal, depth int, em
 	case *ast.Empty:
 		if !dv.budget() {
 			return false
+		}
+		if dv.memoFill != 0 {
+			dv.memoLogEmpty(g.Pred)
 		}
 		if !dv.d.IsEmpty(g.Pred) {
 			return true
@@ -559,6 +583,9 @@ func (dv *deriv) stepLit(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int,
 	case ast.OpQuery:
 		if !dv.budget() {
 			return false
+		}
+		if dv.memoFill != 0 {
+			dv.memoLogQuery(g.Atom)
 		}
 		return dv.d.Scan(g.Atom.Pred, g.Atom.Args, dv.env, func() bool {
 			dv.pushTraceAtom(TraceQuery, g.Atom, 0)

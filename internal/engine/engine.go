@@ -96,9 +96,9 @@ type Options struct {
 	// reproduces the unplanned engine exactly. Plan composes with the
 	// clause index; under NoClauseIndex it is ignored.
 	Plan bool
-	// Memo, when non-nil, enables snapshot-versioned memo tables for
+	// Memo, when non-nil, enables read-set–validated memo tables for
 	// tabling-eligible derived predicates (see memo.go): repeat calls with
-	// the same binding pattern over unchanged support relations replay the
+	// the same binding pattern whose fill's reads are unchanged replay the
 	// cached answer multiset instead of re-running proof search. The answer
 	// multiset and success/failure behavior are identical either way (the
 	// corpus differential test checks this); with Memo nil the prove hot
@@ -253,7 +253,7 @@ type Stats struct {
 	// Memo-table effort (Options.Memo; all zero with tabling off).
 	MemoHits          int64 // call steps replayed from a valid memo entry
 	MemoMisses        int64 // call steps that filled (or re-filled) an entry
-	MemoInvalidations int64 // lookups dropped on a stale support fingerprint
+	MemoInvalidations int64 // lookups dropped because a read of the entry changed
 }
 
 // Result is the outcome of Prove.
@@ -303,8 +303,9 @@ type Engine struct {
 	plan    *planIndex
 	planRep *analysis.PlanReport
 	// memo is the compiled tabling configuration (Options.Memo): the
-	// selected predicates, their support sets, and the (possibly shared)
-	// answer store. nil when tabling is off or nothing was selected.
+	// selected predicates, the relations their rules read, and the
+	// (possibly shared) answer store. nil when tabling is off or nothing
+	// was selected.
 	memo *engineMemo
 	// vet holds the load-time analysis report when Options.Vet is on;
 	// vetErr is its error form when the report carries error-severity
@@ -363,8 +364,8 @@ func New(prog *ast.Program, opts Options) *Engine {
 		e.plan = compilePlan(e.planRep)
 	}
 	if opts.Memo != nil {
-		// Tabling gates on the plan report's certificates and support
-		// sets; run the planner here if Options.Plan did not (the report
+		// Tabling gates on the plan report's certificates; run the
+		// planner here if Options.Plan did not (the report
 		// stays private — PlanReport() keeps reflecting Options.Plan).
 		rep := e.planRep
 		if rep == nil {

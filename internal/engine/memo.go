@@ -1,7 +1,9 @@
 package engine
 
 import (
+	"cmp"
 	"container/list"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -10,17 +12,18 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/ast"
+	"repro/internal/db"
 	"repro/internal/term"
 )
 
-// Tabled evaluation: snapshot-versioned memo tables for derived predicates.
+// Tabled evaluation: read-set–validated memo tables for derived predicates.
 //
 // A call to a tabling-eligible derived predicate (update-free,
 // hypothetical-free, non-'|' recursion — the certificate
 // internal/analysis/plan.go computes) is a pure query over the current
 // database state: its answer multiset depends only on the program and on
-// the contents of the predicate's base-relation support set. Such a call
-// can be answered from a memo table instead of re-running proof search.
+// the tuples its search reads. Such a call can be answered from a memo
+// table instead of re-running proof search.
 //
 // The memo key is (program, predicate, call pattern): the 128-bit program
 // content hash — one MemoStore may serve sessions that loaded different
@@ -30,15 +33,27 @@ import (
 // among the call's distinct free variables, so p(X,X) and p(X,Y) key
 // differently. FuzzMemoKey proves this encoding injective.
 //
-// Invalidation is snapshot-versioned with no protocol: each entry stores
-// the 128-bit fold of the per-relation content fingerprints of the
-// predicate's support set (PredPlan.Support) at fill time. A lookup
-// recomputes the fold against its own database — session snapshot
-// replicas, ASOF-pinned reads, and the live store each fold their own
-// relation fingerprints — and a mismatch is a miss that drops the stale
-// entry. Relation fingerprints are pure functions of tuple sets
-// (db.RelFingerprint), so replicas holding the same data share entries and
-// rolling a mutation back restores hits.
+// An entry depends on the reads its fill actually made, not on every
+// relation the predicate could reach. While a fill is in flight, each
+// query step logs the first-argument index bucket it probes (when the
+// first argument is ground) or the whole relation, each empty.p logs the
+// predicate, and a nested memo hit appends its own entry's reads. At the
+// end of the fill the distinct reads are stored on the entry with the fold
+// of their content fingerprints (db.BucketFingerprint, RelFingerprint,
+// PredFingerprint); a fill that read more than half of a relation's
+// buckets stores one relation-level read instead, which keeps validation
+// of scan-like fills as cheap as one relation check. A lookup re-folds
+// those fingerprints against its own database — session replicas,
+// ASOF-pinned reads and the live store each answer for their own tuples —
+// outside the store lock; a mismatch is a miss that drops the entry if it
+// is still the current one. Fingerprints are pure functions of
+// tuple sets, so replicas holding the same data share entries, rolling a
+// mutation back restores hits, and a write to a bucket no fill read
+// leaves every entry valid.
+//
+// Within a fill, the failure table only prunes configurations recorded
+// since that fill began: an older entry was explored before the fill's
+// read log started, so pruning by it would leave its reads unlogged.
 //
 // An answer is the projection of one successful execution onto the call's
 // distinct free variables: per variable a ground witness term, an alias to
@@ -81,7 +96,7 @@ type memoSlot struct {
 // slice overhead share) for the store's byte accounting.
 const memoSlotBytes = 32
 
-// MemoOptions configure the snapshot-versioned memo tables
+// MemoOptions configure the read-set–validated memo tables
 // (Options.Memo). The zero Mode is "auto".
 type MemoOptions struct {
 	// Mode selects the tabled predicates among the tabling-eligible ones:
@@ -132,7 +147,8 @@ type MemoPredStats struct {
 // MemoStore is an LRU-bounded, mutex-guarded memo table shared across
 // engines (and goroutines): the server hands one store to every session so
 // snapshot replicas of the same data reuse each other's fills. Entries are
-// immutable after insertion; replay reads them outside the lock.
+// immutable after insertion; validation and replay read them outside the
+// lock.
 type MemoStore struct {
 	mu       sync.Mutex
 	entries  map[string]*memoEntry
@@ -147,17 +163,41 @@ type MemoStore struct {
 	evictions     atomic.Int64
 }
 
+// memoPredCounters is one tabled predicate's lookup record. Entries point
+// at their predicate's cell, so a validated hit counts without the lock.
 type memoPredCounters struct {
-	hits   int64
-	misses int64
+	hits   atomic.Int64
+	misses atomic.Int64
 }
 
-// memoEntry is one cached call: the support-set fingerprint it was filled
-// under, the answer count, and the flat count×nvars slot matrix.
+// memoRel names one relation a fill read, or (arity < 0) one predicate at
+// every arity, read by empty.p. An engine holds one per relation its rules
+// read; entries point at them instead of holding names.
+type memoRel struct {
+	pred  string
+	arity int
+}
+
+// memoRead is one read of a fill: the first-argument index bucket of rel
+// whose first argument has code first, or (first == 0 — codes are never
+// 0) the whole relation, or the whole predicate when rel.arity < 0.
+type memoRead struct {
+	rel   *memoRel
+	first uint64
+}
+
+// memoReadBytes approximates the retained size of one read.
+const memoReadBytes = 16
+
+// memoEntry is one cached call: the reads its fill made and the fold of
+// their content fingerprints when the fill ended (an entry is valid only
+// while every read is, so one stamp serves all of them and keeps a read to
+// 16 bytes), the answer count, and the flat count×nvars slot matrix.
 type memoEntry struct {
 	key     string
-	pred    string
 	elem    *list.Element
+	pc      *memoPredCounters
+	reads   []memoRead
 	fp      [2]uint64
 	nvars   int
 	count   int
@@ -203,46 +243,58 @@ func (s *MemoStore) predCounters(pred string) *memoPredCounters {
 	return pc
 }
 
-// lookup resolves key (still in its scratch buffer — the conversion in the
-// map index does not allocate) against the caller's support fingerprint.
-// A fingerprint mismatch drops the stale entry and reports invalidated.
-func (s *MemoStore) lookup(key []byte, fp [2]uint64, pred string) (e *memoEntry, ok, invalidated bool) {
+// lookup returns the entry under key (still in its scratch buffer — the
+// conversion in the map index does not allocate), not yet validated, and
+// marks it recently used. A missing entry counts as a miss.
+func (s *MemoStore) lookup(key []byte, pred string) *memoEntry {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	e = s.entries[string(key)]
+	e := s.entries[string(key)]
 	if e == nil {
 		s.misses.Add(1)
-		s.predCounters(pred).misses++
-		return nil, false, false
-	}
-	if e.fp != fp {
-		s.drop(e)
-		s.invalidations.Add(1)
-		s.misses.Add(1)
-		s.predCounters(pred).misses++
-		return nil, false, true
+		s.predCounters(pred).misses.Add(1)
+		return nil
 	}
 	s.lru.MoveToFront(e.elem)
-	s.hits.Add(1)
-	s.predCounters(pred).hits++
-	return e, true, false
+	return e
 }
 
-// insert stores a freshly filled entry, evicting least-recently-used
-// entries beyond the byte bound. An entry already present under key (a
-// concurrent session filled the same call first) is replaced.
-func (s *MemoStore) insert(key, pred string, fp [2]uint64, nvars, count int, answers []memoSlot) {
+// hit counts a lookup whose entry validated.
+func (s *MemoStore) hit(e *memoEntry) {
+	s.hits.Add(1)
+	e.pc.hits.Add(1)
+}
+
+// invalidate counts a lookup whose entry failed validation and drops the
+// entry unless a concurrent fill or eviction has already replaced it.
+func (s *MemoStore) invalidate(e *memoEntry) {
+	s.invalidations.Add(1)
+	s.misses.Add(1)
+	e.pc.misses.Add(1)
+	s.mu.Lock()
+	if s.entries[e.key] == e {
+		s.drop(e)
+	}
+	s.mu.Unlock()
+}
+
+// insert stores a freshly filled entry and returns it, evicting
+// least-recently-used entries beyond the byte bound. An entry already
+// present under key (a concurrent session filled the same call first) is
+// replaced.
+func (s *MemoStore) insert(key, pred string, reads []memoRead, fp [2]uint64, nvars, count int, answers []memoSlot) *memoEntry {
 	e := &memoEntry{
 		key:     key,
-		pred:    pred,
+		reads:   reads,
 		fp:      fp,
 		nvars:   nvars,
 		count:   count,
 		answers: answers,
-		bytes:   int64(len(key)) + int64(len(answers))*memoSlotBytes + 128,
+		bytes:   int64(len(key)) + int64(len(reads))*memoReadBytes + int64(len(answers))*memoSlotBytes + 128,
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	e.pc = s.predCounters(pred)
 	if old := s.entries[key]; old != nil {
 		s.drop(old)
 	}
@@ -254,6 +306,7 @@ func (s *MemoStore) insert(key, pred string, fp [2]uint64, nvars, count int, ans
 		s.drop(victim)
 		s.evictions.Add(1)
 	}
+	return e
 }
 
 // drop unlinks e. Callers hold mu.
@@ -276,7 +329,7 @@ func (s *MemoStore) Snapshot() MemoStats {
 	st.Bytes = s.bytes
 	st.Entries = int64(len(s.entries))
 	for pred, pc := range s.byPred {
-		st.Preds = append(st.Preds, MemoPredStats{Pred: pred, Hits: pc.hits, Misses: pc.misses})
+		st.Preds = append(st.Preds, MemoPredStats{Pred: pred, Hits: pc.hits.Load(), Misses: pc.misses.Load()})
 	}
 	s.mu.Unlock()
 	sort.Slice(st.Preds, func(i, j int) bool {
@@ -288,37 +341,14 @@ func (s *MemoStore) Snapshot() MemoStats {
 	return st
 }
 
-// supportRef is one parsed entry of a predicate's support set: a relation
-// read ("name/arity") or a predicate-level read (bare "name", from
-// empty.p, which observes every arity).
-type supportRef struct {
-	pred      string
-	arity     int
-	predLevel bool
-}
-
-// memoPred is one tabled predicate's compiled gating data.
-type memoPred struct {
-	name    string // "name/arity", the stats label
-	support []supportRef
-}
-
 // engineMemo is the per-engine memo configuration: the shared store, the
-// program's content hash, and the selected predicates.
+// program's content hash, the selected predicates ("name/arity" stats
+// labels), and the relations the program's rules read.
 type engineMemo struct {
 	store          *MemoStore
 	progLo, progHi uint64
-	preds          map[enginePredArity]*memoPred
-}
-
-// parseSupportRef splits a PredPlan.Support entry.
-func parseSupportRef(entry string) supportRef {
-	if i := strings.LastIndexByte(entry, '/'); i >= 0 {
-		if n, err := strconv.Atoi(entry[i+1:]); err == nil {
-			return supportRef{pred: entry[:i], arity: n}
-		}
-	}
-	return supportRef{pred: entry, predLevel: true}
+	preds          map[enginePredArity]string
+	rels           map[enginePredArity]*memoRel
 }
 
 // splitPredArity splits a "name/arity" certificate label.
@@ -356,8 +386,9 @@ func progHash(prog *ast.Program) (uint64, uint64) {
 }
 
 // newEngineMemo compiles the memo configuration: select predicates per
-// opts.Mode among the report's tabling-eligible certificates, parse their
-// support sets, and bind the store. Returns nil when nothing is tabled.
+// opts.Mode among the report's tabling-eligible certificates, name the
+// relations the rules read, and bind the store. Returns nil when nothing
+// is tabled.
 func newEngineMemo(prog *ast.Program, rep *analysis.PlanReport, opts *MemoOptions) *engineMemo {
 	mode := strings.TrimSpace(opts.Mode)
 	if mode == "" {
@@ -425,18 +456,34 @@ func newEngineMemo(prog *ast.Program, rep *analysis.PlanReport, opts *MemoOption
 	if len(selected) == 0 {
 		return nil
 	}
-	em := &engineMemo{preds: make(map[enginePredArity]*memoPred, len(selected))}
+	em := &engineMemo{
+		preds: make(map[enginePredArity]string, len(selected)),
+		rels:  make(map[enginePredArity]*memoRel),
+	}
 	em.progLo, em.progHi = progHash(prog)
 	for _, pp := range selected {
-		name, arity, ok := splitPredArity(pp.Pred)
-		if !ok {
-			continue
+		if name, arity, ok := splitPredArity(pp.Pred); ok {
+			em.preds[enginePredArity{pred: name, arity: arity}] = pp.Pred
 		}
-		mp := &memoPred{name: pp.Pred}
-		for _, entry := range pp.Support {
-			mp.support = append(mp.support, parseSupportRef(entry))
+	}
+	addRel := func(pred string, arity int) {
+		k := enginePredArity{pred: pred, arity: arity}
+		if em.rels[k] == nil {
+			em.rels[k] = &memoRel{pred: pred, arity: arity}
 		}
-		em.preds[enginePredArity{pred: name, arity: arity}] = mp
+	}
+	for _, r := range prog.Rules {
+		ast.Walk(r.Body, func(g ast.Goal) bool {
+			switch g := g.(type) {
+			case *ast.Lit:
+				if g.Op == ast.OpQuery {
+					addRel(g.Atom.Pred, len(g.Atom.Args))
+				}
+			case *ast.Empty:
+				addRel(g.Pred, -1)
+			}
+			return true
+		})
 	}
 	em.store = opts.Store
 	if em.store == nil {
@@ -462,33 +509,143 @@ func (e *Engine) MemoTabled() []string {
 		return nil
 	}
 	out := make([]string, 0, len(e.memo.preds))
-	for _, mp := range e.memo.preds {
-		out = append(out, mp.name)
+	for _, name := range e.memo.preds {
+		out = append(out, name)
 	}
 	sort.Strings(out)
 	return out
 }
 
-// memoFingerprint folds the predicate's support-set relation fingerprints
-// against the search's database. Relation fingerprints are pure functions
-// of tuple sets, so replicas with equal data produce equal folds. The
-// support list is sorted at plan time, making the sequential fold
-// deterministic.
-func (dv *deriv) memoFingerprint(mp *memoPred) [2]uint64 {
+// memoLogQuery logs the read of a query step during a fill: the
+// first-argument bucket when the first argument is ground, else the whole
+// relation.
+func (dv *deriv) memoLogQuery(a term.Atom) {
+	rel := dv.e.memo.relFor(a.Pred, len(a.Args))
+	var first uint64
+	if len(a.Args) > 0 {
+		if w := dv.env.Walk(a.Args[0]); !w.IsVar() {
+			first = w.Code()
+		}
+	}
+	dv.memoLog = append(dv.memoLog, memoRead{rel: rel, first: first})
+}
+
+// memoLogEmpty logs the read of an empty.p step during a fill.
+func (dv *deriv) memoLogEmpty(pred string) {
+	dv.memoLog = append(dv.memoLog, memoRead{rel: dv.e.memo.relFor(pred, -1)})
+}
+
+// relFor returns the engine's memoRel for pred/arity (arity < 0: the
+// predicate at every arity). A fill's goals are rule bodies, so every
+// relation it reads is named; anything else gets an unshared memoRel.
+func (em *engineMemo) relFor(pred string, arity int) *memoRel {
+	if r := em.rels[enginePredArity{pred: pred, arity: arity}]; r != nil {
+		return r
+	}
+	return &memoRel{pred: pred, arity: arity}
+}
+
+// memoReadFP returns the current fingerprint of what r read.
+func (dv *deriv) memoReadFP(r *memoRead) [2]uint64 {
+	switch {
+	case r.rel.arity < 0:
+		return dv.d.PredFingerprint(r.rel.pred)
+	case r.first != 0:
+		return dv.d.BucketFingerprint(r.rel.pred, r.rel.arity, r.first)
+	default:
+		return dv.d.RelFingerprint(r.rel.pred, r.rel.arity)
+	}
+}
+
+// memoFold folds the current fingerprints of reads, in order, with the
+// engine's usual dual-FNV streams. Fingerprints are pure functions of
+// tuple sets and reads are stored sorted, so databases holding the same
+// tuples in what was read produce equal folds.
+func (dv *deriv) memoFold(reads []memoRead) [2]uint64 {
 	const primeLo, primeHi = 1099511628211, 0xff51afd7ed558ccd
 	lo := uint64(14695981039346656037)
 	hi := uint64(0x9e3779b97f4a7c15)
-	for _, ref := range mp.support {
-		var f [2]uint64
-		if ref.predLevel {
-			f = dv.d.PredFingerprint(ref.pred)
-		} else {
-			f = dv.d.RelFingerprint(ref.pred, ref.arity)
-		}
+	for i := range reads {
+		f := dv.memoReadFP(&reads[i])
 		lo = (lo ^ f[0]) * primeLo
 		hi = (hi ^ f[1]) * primeHi
 	}
 	return [2]uint64{lo, hi}
+}
+
+// memoObserve reports a replayed entry's reads to the database's read
+// hook, so a transaction's read set covers what the original search read.
+// Bucket reads become ReadPrefix observations, which cover every key
+// observation the search could have made in the bucket.
+func (dv *deriv) memoObserve(reads []memoRead) {
+	for i := range reads {
+		r := &reads[i]
+		switch {
+		case r.rel.arity < 0:
+			dv.d.ObserveRead(db.ReadPred, r.rel.pred, -1, 0)
+		case r.first != 0:
+			dv.d.ObserveRead(db.ReadPrefix, r.rel.pred, r.rel.arity, r.first)
+		default:
+			dv.d.ObserveRead(db.ReadRel, r.rel.pred, r.rel.arity, 0)
+		}
+	}
+}
+
+// memoCompare orders reads by relation, then first-argument code, so a
+// relation-level read (first 0) leads its relation's run.
+func memoCompare(a, b memoRead) int {
+	if c := strings.Compare(a.rel.pred, b.rel.pred); c != 0 {
+		return c
+	}
+	if c := cmp.Compare(a.rel.arity, b.rel.arity); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.first, b.first)
+}
+
+// memoStamp turns a fill's logged reads into an entry's read set and its
+// stamp: distinct reads only, sorted, bucket reads dropped where a
+// relation-level read of the same relation covers them, and bucket reads
+// of more than half a relation's buckets collapsed into one
+// relation-level read (a DB without an index has no buckets, so all its
+// reads collapse). The reads are a fresh slice the entry owns.
+func (dv *deriv) memoStamp(log []memoRead) ([]memoRead, [2]uint64) {
+	tmp := append(dv.memoScratch[:0], log...)
+	slices.SortFunc(tmp, memoCompare)
+	out := tmp[:0]
+	for i := 0; i < len(tmp); {
+		j := i + 1
+		for j < len(tmp) && tmp[j].rel.pred == tmp[i].rel.pred && tmp[j].rel.arity == tmp[i].rel.arity {
+			j++
+		}
+		run := tmp[i:j]
+		collapse := run[0].first == 0
+		if !collapse {
+			n := 1
+			for k := 1; k < len(run); k++ {
+				if run[k].first != run[k-1].first {
+					n++
+				}
+			}
+			collapse = 2*n > dv.d.IndexBuckets(run[0].rel.pred, run[0].rel.arity)
+		}
+		// out compacts tmp in place; it never passes the element being read.
+		if collapse {
+			out = append(out, memoRead{rel: run[0].rel})
+		} else {
+			var prev uint64
+			for _, r := range run {
+				if r.first != prev {
+					out = append(out, r)
+					prev = r.first
+				}
+			}
+		}
+		i = j
+	}
+	dv.memoScratch = tmp
+	reads := append([]memoRead(nil), out...)
+	return reads, dv.memoFold(reads)
 }
 
 // appendMemoKey encodes the call pattern of g into dst and returns the
@@ -531,8 +688,9 @@ func (dv *deriv) appendMemoKey(dst []byte, g *ast.Lit, vars []term.Term) ([]byte
 // cut-propagation result. The first call under a key fills the table by
 // exhausting the sub-search, then both paths replay the recorded answers.
 func (dv *deriv) memoStep(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int, emit func() bool) (handled, cont bool) {
-	mp := dv.e.memo.preds[enginePredArity{pred: g.Atom.Pred, arity: len(g.Atom.Args)}]
-	if mp == nil {
+	em := dv.e.memo
+	name, ok := em.preds[enginePredArity{pred: g.Atom.Pred, arity: len(g.Atom.Args)}]
+	if !ok {
 		return false, false
 	}
 	// Key and distinct-variable scratch are per-step locals: a nested
@@ -546,17 +704,23 @@ func (dv *deriv) memoStep(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int
 		// explores exactly the untabled semantics.
 		return false, false
 	}
-	fp := dv.memoFingerprint(mp)
-	entry, ok, invalidated := dv.e.memo.store.lookup(buf, fp, mp.name)
-	if invalidated {
+	entry := em.store.lookup(buf, name)
+	if entry != nil && dv.memoFold(entry.reads) != entry.fp {
+		em.store.invalidate(entry)
 		dv.memoInvalid++
+		entry = nil
 	}
 	var memoAnn uint8
-	if ok {
+	if entry != nil {
+		em.store.hit(entry)
 		dv.memoHits++
 		memoAnn = MemoHit
 		if dv.e.opts.Profile {
 			dv.noteCall(g.Atom.Pred, 0)
+		}
+		dv.memoObserve(entry.reads)
+		if dv.memoFill != 0 {
+			dv.memoLog = append(dv.memoLog, entry.reads...)
 		}
 	} else {
 		key := string(buf)
@@ -570,12 +734,17 @@ func (dv *deriv) memoStep(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int
 		// call: it must not be pruned by the enclosing derivation's
 		// path-cycle entries (the outer explore of a bare-call goal holds
 		// this very configuration, and pruning here would cache an empty
-		// answer set). Give it a fresh path; the failure table stays
-		// shared — its entries are context-free.
+		// answer set). Give it a fresh path. The failure table stays
+		// shared, but only entries recorded since the fill began prune
+		// inside it (see explore): their reads are in this fill's log.
 		savedPath := dv.path
 		if savedPath != nil {
 			dv.path = make(map[ckey]bool)
 		}
+		savedFill := dv.memoFill
+		dv.memoSeq++
+		dv.memoFill = dv.memoSeq
+		logStart := len(dv.memoLog)
 		var answers []memoSlot
 		count := 0
 		fillCont := dv.explore(g, depth+1, func() bool {
@@ -598,14 +767,20 @@ func (dv *deriv) memoStep(g *ast.Lit, rebuild func(ast.Goal) ast.Goal, depth int
 			return true // collect every execution, then backtrack
 		})
 		dv.path = savedPath
+		dv.memoFill = savedFill
 		delete(dv.memoFlight, key)
 		if !fillCont {
 			// The sub-search errored (budget, depth, runtime fault): no
 			// entry is stored and the error propagates.
 			return true, false
 		}
-		dv.e.memo.store.insert(key, mp.name, fp, len(vars), count, answers)
-		entry = &memoEntry{nvars: len(vars), count: count, answers: answers}
+		reads, fp := dv.memoStamp(dv.memoLog[logStart:])
+		if savedFill == 0 {
+			// The outermost fill is done; an enclosing fill would still
+			// need these reads.
+			dv.memoLog = dv.memoLog[:0]
+		}
+		entry = em.store.insert(key, name, reads, fp, len(vars), count, answers)
 	}
 	if entry.nvars != len(vars) {
 		// Defensive: an injective key cannot disagree on the variable

@@ -270,3 +270,49 @@ func TestStatsSnapshotMemoKeys(t *testing.T) {
 		}
 	}
 }
+
+// TestMemoHitRecordsReads: a transaction whose tabled call is served from
+// the memo table must still record the reads the call depends on, or OCC
+// commits a transaction that read a tuple a concurrent commit deleted.
+// Session A fills reach(a, Y) outside the transaction, replays it inside
+// one, and session B deletes an edge the replayed answer rests on before
+// A commits: A's commit must conflict, exactly as it does untabled.
+func TestMemoHitRecordsReads(t *testing.T) {
+	for _, mode := range []string{"none", "all"} {
+		t.Run(mode, func(t *testing.T) {
+			s := newMemoServer(t, Options{})
+			a, b := s.InProcClient(), s.InProcClient()
+			defer a.Close()
+			defer b.Close()
+			if _, err := a.Table(mode); err != nil {
+				t.Fatalf("Table %s: %v", mode, err)
+			}
+			if _, err := a.Query("reach(a, Y)", 0); err != nil {
+				t.Fatalf("Query: %v", err)
+			}
+			before, err := a.TableStatus()
+			if err != nil {
+				t.Fatalf("TableStatus: %v", err)
+			}
+			if err := a.Begin(); err != nil {
+				t.Fatalf("Begin: %v", err)
+			}
+			if _, err := a.Run("reach(a, Y), Y = d, ins.seen(a, Y)"); err != nil {
+				t.Fatalf("Run: %v", err)
+			}
+			after, err := a.TableStatus()
+			if err != nil {
+				t.Fatalf("TableStatus: %v", err)
+			}
+			if mode == "all" && after.Hits == before.Hits {
+				t.Fatalf("RUN was not served from the memo table: before %+v, after %+v", before, after)
+			}
+			if _, err := b.Exec("del.edge(c, d)"); err != nil {
+				t.Fatalf("Exec del: %v", err)
+			}
+			if _, err := a.Commit(); !IsConflict(err) {
+				t.Fatalf("Commit after a concurrent delete of a read edge = %v, want conflict", err)
+			}
+		})
+	}
+}

@@ -324,10 +324,11 @@ type Server struct {
 
 	// memo is the shared answer store for tabled evaluation: every tabled
 	// session engine fills and replays through it, keyed by program hash +
-	// call pattern and guarded by support-set content fingerprints (so the
-	// private replicas need no invalidation protocol). Always present —
-	// TABLE can enable tabling at runtime on a server started with
-	// Options.Table unset — and empty until a tabled goal runs.
+	// call pattern and guarded by the content fingerprints of the reads
+	// each fill made (so the private replicas need no invalidation
+	// protocol). Always present — TABLE can enable tabling at runtime on a
+	// server started with Options.Table unset — and empty until a tabled
+	// goal runs.
 	memo *engine.MemoStore
 
 	ln net.Listener
@@ -407,7 +408,7 @@ func New(opts Options) (*Server, error) {
 		memoCounter(func(h, _, _, _ int64) int64 { return h }))
 	s.reg.CounterFunc("td_memo_misses_total", "tabled calls that filled the memo table",
 		memoCounter(func(_, m, _, _ int64) int64 { return m }))
-	s.reg.CounterFunc("td_memo_invalidations_total", "memo entries dropped on a stale support fingerprint",
+	s.reg.CounterFunc("td_memo_invalidations_total", "memo entries dropped because a read they depend on changed",
 		memoCounter(func(_, _, i, _ int64) int64 { return i }))
 	s.reg.CounterFunc("td_memo_evictions_total", "memo entries evicted by the LRU byte bound",
 		memoCounter(func(_, _, _, e int64) int64 { return e }))

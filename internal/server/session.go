@@ -113,8 +113,9 @@ func (sess *session) buildEngine() {
 	}
 	if mode := sess.tableMode; mode != "" && mode != "none" {
 		// Tabled evaluation: the session engine fills and replays through
-		// the server's shared memo store (support-set content fingerprints
-		// keep replicas sound without an invalidation protocol). Auto mode
+		// the server's shared memo store (each entry is validated against
+		// the content fingerprints of the index buckets its fill read, so
+		// replicas stay sound without an invalidation protocol). Auto mode
 		// selects by the absorbed server-wide prover profile, so predicates
 		// that burned time in any session get tabled in the next engine.
 		opts.Memo = &engine.MemoOptions{
